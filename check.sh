@@ -7,8 +7,9 @@
 # critical path must render) and diffed against itself with a tight
 # budget (the gate must pass on identical runs).
 #
-# --quick skips the harness/profiler smokes (build + tests + the
-# replicacheck/txcheck smokes + the overhead-ledger gate self-check).
+# --quick skips the harness/profiler smokes and the benchmark self-test
+# (build + tests + the replicacheck/txcheck smokes + the overhead-ledger
+# gate self-check).
 set -e
 cd "$(dirname "$0")"
 
@@ -122,4 +123,9 @@ if [ "$quick" -eq 0 ]; then
   dune exec bin/ldv.exe -- timeline "$tmpdir/cc.jsonl" > /dev/null
   dune exec bin/ldv.exe -- contention "$tmpdir/cc.jsonl" > /dev/null
   dune exec bin/ldv.exe -- stats "$tmpdir/cc.jsonl" --by-session > /dev/null
+
+  # benchmark self-test: a well-formed manifest, and the same seed gives
+  # the same trace edges, package sizes and lineage counts on every
+  # workload
+  bash ldvbench/selftest.sh
 fi

@@ -263,8 +263,8 @@ let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
       match serve with
       | Some _ ->
         Database.with_frozen_clock serve_db (fun () ->
-            Perm.Provenance_sql.query_lineage serve_db sql)
-      | None -> Perm.Provenance_sql.query_lineage db sql
+            Perm.Provenance_sql.query_lineage_ast serve_db ast)
+      | None -> Perm.Provenance_sql.query_lineage_ast db ast
     in
     List.iter
       (fun table -> ignore (Perm.Versioning.enable_table t.versioning table))

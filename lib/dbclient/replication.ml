@@ -138,6 +138,7 @@ let leader_db t = Server.db (Durable.server t.leader)
 let replica_db t i = Server.db (Durable.server t.replicas.(i).rep_durable)
 let replica_count t = Array.length t.replicas
 let staleness t = t.staleness
+let ckpt_every t = t.ckpt_every
 let ship_seq t = t.ship_seq
 let leader t = t.leader
 let replica_applied t i = t.replicas.(i).rep_applied
@@ -146,6 +147,10 @@ let lag t (rep : replica) = t.ship_seq - rep.rep_applied
 
 let data_dir_of i = Printf.sprintf "/var/minidb/replica%d" i
 
+(** Applied records between a replica's local checkpoints, unless
+    [create] is given another interval. *)
+let default_ckpt_every = 8
+
 (** Build a cluster of [replicas] read replicas behind [leader]. Each
     replica bootstraps from a base backup — the leader's current
     checkpoint image, persisted as the replica's own initial checkpoint so
@@ -153,9 +158,13 @@ let data_dir_of i = Printf.sprintf "/var/minidb/replica%d" i
     ship stream. [staleness] bounds how many records behind a replica may
     be while still serving reads; [torn] maps a crashed replica's
     unsynced WAL byte count to the surviving torn-tail length (campaigns
-    pass a seeded draw; the default loses everything unsynced). *)
+    pass a seeded draw; the default loses everything unsynced).
+    [ckpt_every] is the number of applied records between a replica's
+    local checkpoints; the checkpoints' file writes advance the kernel
+    clock, so a replay must re-create the cluster with the same value. *)
 let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas
-    ?(staleness = 4) ?(torn = fun _ -> 0) ?(ckpt_every = 8) () : t =
+    ?(staleness = 4) ?(torn = fun _ -> 0) ?(ckpt_every = default_ckpt_every)
+    () : t =
   if replicas < 0 then invalid_arg "Replication.create: replicas < 0";
   let vfs = Minios.Kernel.vfs kernel in
   let ship_seq0 = Durable.next_seq leader - 1 in
@@ -185,7 +194,7 @@ let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas
           rep_applied = ship_seq0;
           rep_delayed = None;
           rep_stash = [];
-          rep_ckpt_due = 8 })
+          rep_ckpt_due = ckpt_every })
   in
   let t =
     { kernel;

@@ -61,28 +61,24 @@ end
    format's per-section checksum.                                      *)
 
 module Crc32 = struct
+  (* native ints, masked to 32 bits: a boxed [Int32] accumulator would
+     allocate on every byte, megawords per package section parse *)
   let table =
     lazy
       (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
+           let c = ref n in
            for _ = 0 to 7 do
-             if Int32.logand !c 1l <> 0l then
-               c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else c := Int32.shift_right_logical !c 1
+             c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
            done;
            !c))
 
   let digest (s : string) : int32 =
     let table = Lazy.force table in
-    let crc = ref 0xFFFFFFFFl in
-    String.iter
-      (fun ch ->
-        let idx =
-          Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
-        in
-        crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-      s;
-    Int32.logxor !crc 0xFFFFFFFFl
+    let crc = ref 0xFFFFFFFF in
+    for i = 0 to String.length s - 1 do
+      crc := table.((!crc lxor Char.code s.[i]) land 0xFF) lxor (!crc lsr 8)
+    done;
+    Int32.of_int (!crc lxor 0xFFFFFFFF)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -40,6 +40,14 @@ type sched_info = {
   sched_clients : (string * string) list;  (** (registry name, binary) *)
 }
 
+(** The replication cluster a run's reads were served from: what replay
+    needs to rebuild an identical one. *)
+type cluster_shape = {
+  replicas : int;
+  staleness : int;  (** max records of lag a replica may serve reads at *)
+  ckpt_every : int;  (** applied records between replica checkpoints *)
+}
+
 type t = {
   packaging : packaging;
   kernel : Minios.Kernel.t;
@@ -48,10 +56,10 @@ type t = {
   session : I.t;  (** the primary session (the only one, single-client) *)
   sessions : I.t list;  (** all sessions, primary first *)
   sched : sched_info option;  (** [Some] iff this was a concurrent run *)
-  repl : (int * int) option;
-      (** (replica count, staleness bound) when the run served reads from
-          a replication cluster; the package records it, with the node
-          that answered each read, so replay re-runs the cluster *)
+  repl : cluster_shape option;
+      (** set when the run served reads from a replication cluster; the
+          package records it, with the node that answered each read, so
+          replay re-runs the cluster *)
   trace : Prov.Trace.t;
   app_name : string;  (** program-registry name *)
   app_binary : string;
@@ -98,18 +106,22 @@ let merge_logs (sessions : I.t list) : I.stmt_event list =
          | 0 -> Int.compare a.I.qid b.I.qid
          | c -> c)
 
+(* The digest of the per-row digests: rendering the whole result into one
+   string first would allocate result-sized buffers in the major heap on
+   every audited, replayed and verified query. *)
 let rows_fingerprint (rows : Value.t array list) : string =
-  let buf = Buffer.create 256 in
+  let row_buf = Buffer.create 256 and digests = Buffer.create 1024 in
   List.iter
     (fun row ->
+      Buffer.clear row_buf;
       Array.iter
         (fun v ->
-          Buffer.add_string buf (Value.to_raw_string v);
-          Buffer.add_char buf '\x1f')
+          Buffer.add_string row_buf (Value.to_raw_string v);
+          Buffer.add_char row_buf '\x1f')
         row;
-      Buffer.add_char buf '\n')
+      Buffer.add_string digests (Digest.string (Buffer.contents row_buf)))
     rows;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Digest.to_hex (Digest.string (Buffer.contents digests))
 
 (** The run's statement stream across every session, in global order.
     Single-session audits see exactly the session log. *)
@@ -197,53 +209,80 @@ let tx_outcomes (stmts : I.stmt_event list) : (int * int * tx_outcome) list
       mark (List.rev !closed))
     sids
 
-(** Build the combined execution trace from the tracer's syscall stream and
-    the interceptor's statement log. *)
-let build_trace (tracer : Minios.Tracer.t) (stmts : I.stmt_event list) :
-    Prov.Trace.t =
-  Ldv_obs.with_span "audit.build_trace" @@ fun () ->
+module Tid_tbl = Hashtbl.Make (Tid)
+
+(* The one trace builder behind [build_trace] and [compact_trace]: the
+   P_BB portion from the syscall stream, then per statement its node, the
+   [run] edge from the issuing process, and — for DML always, for queries
+   only with [query_lineage] — its read and returned tuple versions, the
+   client's [readFromDb] of query results, and the returned versions'
+   lineage dependencies. Tuple node handles are cached per build, so each
+   tuple's id, label and attributes are rendered once per distinct tuple,
+   not once per edge. *)
+let build ~query_lineage (tracer : Minios.Tracer.t) (stmts : I.stmt_event list)
+    : Prov.Trace.t =
+  Ldv_obs.with_span
+    (if query_lineage then "audit.build_trace" else "audit.compact_trace")
+  @@ fun () ->
   let trace = Prov.Combined.create () in
   Minios.Tracer.build_bb_into tracer trace;
+  let tuples = Tid_tbl.create 1024 in
+  let tuple tid =
+    match Tid_tbl.find_opt tuples tid with
+    | Some h -> h
+    | None ->
+      let h = Prov.Lineage_model.add_tuple trace tid in
+      Tid_tbl.replace tuples tid h;
+      h
+  in
+  (* a lineage source must already be in the trace, as a read *)
+  let known tid =
+    match Tid_tbl.find_opt tuples tid with
+    | Some h -> h
+    | None -> invalid_arg "Trace.add_dependency: unknown node"
+  in
+  let edge label ~src ~dst ~time =
+    Prov.Trace.add_edge_h trace ~label ~src ~dst ~time
+  in
   List.iter
     (fun (s : I.stmt_event) ->
       match kind_of_stmt s.I.kind with
       | None -> ()
       | Some kind ->
         let time = Prov.Interval.make s.I.t_start s.I.t_end in
-        ignore
-          (Prov.Lineage_model.add_statement trace ~qid:s.I.qid ~kind
-             ~sql:s.I.sql_norm);
+        let stmt =
+          Prov.Lineage_model.add_statement trace ~qid:s.I.qid ~kind
+            ~sql:s.I.sql_norm
+        in
         (* the issuing process may be unknown to the tracer if tracing
-           started late; create it defensively *)
-        if not (Prov.Trace.mem_node trace (Prov.Bb_model.process_id s.I.pid))
-        then ignore (Prov.Bb_model.add_process trace ~pid:s.I.pid ~name:"proc");
-        ignore (Prov.Combined.run trace ~pid:s.I.pid ~qid:s.I.qid ~time);
-        (* input tuple versions *)
-        List.iter
-          (fun tid ->
-            ignore (Prov.Lineage_model.add_tuple trace tid);
-            ignore (Prov.Lineage_model.has_read trace ~qid:s.I.qid ~tid ~time))
-          s.I.reads;
-        (* produced tuple versions and their registered dependencies *)
-        List.iter
-          (fun (rtid, lineage) ->
-            ignore (Prov.Lineage_model.add_tuple trace rtid);
-            ignore
-              (Prov.Lineage_model.has_returned trace ~qid:s.I.qid ~tid:rtid
-                 ~time);
-            (match s.I.kind with
-            | I.Squery ->
+           started late: this creates it defensively, and otherwise
+           returns the traced one *)
+        let proc = Prov.Bb_model.add_process trace ~pid:s.I.pid ~name:"proc" in
+        edge "run" ~src:proc ~dst:stmt ~time;
+        let is_query = s.I.kind = I.Squery in
+        if query_lineage || not is_query then begin
+          List.iter
+            (fun tid -> edge "hasRead" ~src:(tuple tid) ~dst:stmt ~time)
+            s.I.reads;
+          List.iter
+            (fun (rtid, lineage) ->
+              let result = tuple rtid in
+              edge "hasReturned" ~src:stmt ~dst:result ~time;
               (* the client consumed the result rows *)
-              ignore
-                (Prov.Combined.read_from_db trace ~pid:s.I.pid ~tid:rtid ~time)
-            | _ -> ());
-            List.iter
-              (fun src ->
-                Prov.Lineage_model.depends_on trace ~result:rtid ~source:src)
-              lineage)
-          s.I.results)
+              if is_query then edge "readFromDb" ~src:result ~dst:proc ~time;
+              List.iter
+                (fun src ->
+                  Prov.Trace.add_dependency_h trace ~later:result
+                    ~earlier:(known src))
+                lineage)
+            s.I.results
+        end)
     stmts;
   trace
+
+(** Build the combined execution trace from the tracer's syscall stream and
+    the interceptor's statement log. *)
+let build_trace tracer stmts = build ~query_lineage:true tracer stmts
 
 (** Files written by the traced application (excluding the DB server's own
     checkpoint writes). *)
@@ -451,8 +490,9 @@ let run_concurrent ~(packaging : packaging) ?(sched_seed = 0)
     repl =
       Option.map
         (fun cl ->
-          ( Dbclient.Replication.replica_count cl,
-            Dbclient.Replication.staleness cl ))
+          { replicas = Dbclient.Replication.replica_count cl;
+            staleness = Dbclient.Replication.staleness cl;
+            ckpt_every = Dbclient.Replication.ckpt_every cl })
         cluster;
     trace;
     app_name = first.cl_name;
@@ -471,43 +511,7 @@ let run_concurrent ~(packaging : packaging) ?(sched_seed = 0)
     the statement log with [run] edges, and DML provenance (written
     versions and the pre-versions they derive from). *)
 let compact_trace (t : t) : Prov.Trace.t =
-  Ldv_obs.with_span "audit.compact_trace" @@ fun () ->
-  let trace = Prov.Combined.create () in
-  Minios.Tracer.build_bb_into t.tracer trace;
-  List.iter
-    (fun (s : I.stmt_event) ->
-      match kind_of_stmt s.I.kind with
-      | None -> ()
-      | Some kind ->
-        let time = Prov.Interval.make s.I.t_start s.I.t_end in
-        ignore
-          (Prov.Lineage_model.add_statement trace ~qid:s.I.qid ~kind
-             ~sql:s.I.sql_norm);
-        if not (Prov.Trace.mem_node trace (Prov.Bb_model.process_id s.I.pid))
-        then ignore (Prov.Bb_model.add_process trace ~pid:s.I.pid ~name:"proc");
-        ignore (Prov.Combined.run trace ~pid:s.I.pid ~qid:s.I.qid ~time);
-        match s.I.kind with
-        | I.Squery | I.Sddl -> ()
-        | I.Sinsert | I.Supdate | I.Sdelete ->
-          List.iter
-            (fun tid ->
-              ignore (Prov.Lineage_model.add_tuple trace tid);
-              ignore
-                (Prov.Lineage_model.has_read trace ~qid:s.I.qid ~tid ~time))
-            s.I.reads;
-          List.iter
-            (fun (rtid, lineage) ->
-              ignore (Prov.Lineage_model.add_tuple trace rtid);
-              ignore
-                (Prov.Lineage_model.has_returned trace ~qid:s.I.qid ~tid:rtid
-                   ~time);
-              List.iter
-                (fun src ->
-                  Prov.Lineage_model.depends_on trace ~result:rtid ~source:src)
-                lineage)
-            s.I.results)
-    (stmts t);
-  trace
+  build ~query_lineage:false t.tracer (stmts t)
 
 (** Convenience: pids belonging to the application (everything traced minus
     the server process). *)

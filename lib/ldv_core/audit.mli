@@ -26,6 +26,14 @@ type sched_info = {
   sched_clients : (string * string) list;  (** (registry name, binary) *)
 }
 
+(** The replication cluster a run's reads were served from: what replay
+    needs to rebuild an identical one. *)
+type cluster_shape = {
+  replicas : int;
+  staleness : int;  (** max records of lag a replica may serve reads at *)
+  ckpt_every : int;  (** applied records between replica checkpoints *)
+}
+
 type t = {
   packaging : packaging;
   kernel : Minios.Kernel.t;
@@ -34,9 +42,9 @@ type t = {
   session : I.t;  (** the primary session (the only one, single-client) *)
   sessions : I.t list;  (** all sessions, primary first *)
   sched : sched_info option;  (** [Some] iff this was a concurrent run *)
-  repl : (int * int) option;
-      (** (replica count, staleness bound) when the run served reads from
-          a replication cluster; packaged so replay re-runs the cluster *)
+  repl : cluster_shape option;
+      (** set when the run served reads from a replication cluster;
+          packaged so replay re-runs the cluster *)
   trace : Prov.Trace.t;  (** full combined trace, with per-row lineage *)
   app_name : string;
   app_binary : string;
@@ -51,6 +59,7 @@ type t = {
           pins the cost model's statistics to the audit-time values *)
 }
 
+(** Order-sensitive digest of a query's result rows (hex). *)
 val rows_fingerprint : Minidb.Value.t array list -> string
 
 (** Merge per-session statement logs into one stream ordered by send

@@ -191,9 +191,10 @@ let register_schedule_clients (clients : (string * string) list) =
     interleaved under [seed]. With [replicas > 0], a WAL-shipping cluster
     is stood up behind the server (bootstrapped from the post-fixture
     state): snapshot-pinned reads are served by read replicas and the
-    answering node is recorded per read. *)
+    answering node is recorded per read; [ckpt_every] sets the replicas'
+    checkpoint interval. *)
 let audited ?(packaging = Audit.Included) ?(replicas = 0) ?(staleness = 4)
-    ~sessions ~statements ~seed () : Audit.t =
+    ?ckpt_every ~sessions ~statements ~seed () : Audit.t =
   let kernel = Minios.Kernel.create () in
   let db = Database.create ~name:db_name () in
   let server = Dbclient.Server.install kernel db in
@@ -206,7 +207,9 @@ let audited ?(packaging = Audit.Included) ?(replicas = 0) ?(staleness = 4)
       let leader =
         Dbclient.Durable.start kernel server ~pid:proc.Minios.Kernel.pid
       in
-      Some (Dbclient.Replication.create kernel ~leader ~replicas ~staleness ())
+      Some
+        (Dbclient.Replication.create kernel ~leader ~replicas ~staleness
+           ?ckpt_every ())
     end
     else None
   in

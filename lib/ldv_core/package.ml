@@ -145,9 +145,10 @@ let base_metadata (audit : Audit.t) =
        whole cluster and must route every read to the same node *)
   (match audit.Audit.repl with
   | None -> []
-  | Some (replicas, staleness) ->
-    ("replicas", string_of_int replicas)
-    :: ("repl_staleness", string_of_int staleness)
+  | Some shape ->
+    ("replicas", string_of_int shape.Audit.replicas)
+    :: ("repl_staleness", string_of_int shape.Audit.staleness)
+    :: ("repl_ckpt_every", string_of_int shape.Audit.ckpt_every)
     :: List.filter_map
          (fun (s : Dbclient.Interceptor.stmt_event) ->
            if s.Dbclient.Interceptor.replica >= 0 then
@@ -239,16 +240,20 @@ let build_excluded (audit : Audit.t) : t =
     trace_data = Prov.Trace.serialize (Audit.compact_trace audit);
     metadata = base_metadata audit @ [ ("packaging", "excluded") ] }
 
-(** The recorded replication-cluster shape — (replica count, staleness
-    bound) — when the audited run served reads from a cluster. *)
+(** The recorded replication-cluster shape when the audited run served
+    reads from a cluster. Packages that predate the recorded checkpoint
+    interval replay with the default one, as they always did. *)
 let replication_of_metadata (metadata : (string * string) list) :
-    (int * int) option =
-  match
-    ( Option.bind (List.assoc_opt "replicas" metadata) int_of_string_opt,
-      Option.bind (List.assoc_opt "repl_staleness" metadata) int_of_string_opt
-    )
-  with
-  | Some n, Some staleness when n > 0 -> Some (n, staleness)
+    Audit.cluster_shape option =
+  let int key = Option.bind (List.assoc_opt key metadata) int_of_string_opt in
+  match (int "replicas", int "repl_staleness") with
+  | Some replicas, Some staleness when replicas > 0 ->
+    Some
+      { Audit.replicas;
+        staleness;
+        ckpt_every =
+          Option.value (int "repl_ckpt_every")
+            ~default:Dbclient.Replication.default_ckpt_every }
   | _ -> None
 
 (** The recorded transaction outcomes: (sid, per-session ordinal,
@@ -298,7 +303,7 @@ let schedule (t : t) : (int * (string * string) list) option =
   schedule_of_metadata t.metadata
 
 (** The package's recorded replication-cluster shape, if any. *)
-let replication (t : t) : (int * int) option =
+let replication (t : t) : Audit.cluster_shape option =
   replication_of_metadata t.metadata
 
 (** The package's recorded read routes (qid -> answering replica). *)

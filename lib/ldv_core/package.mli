@@ -69,17 +69,18 @@ val schedule_of_metadata :
 (** [schedule_of_metadata] applied to the package's own metadata. *)
 val schedule : t -> (int * (string * string) list) option
 
-(** The recorded replication-cluster shape — (replica count, staleness
-    bound) — when the audited run served reads from a cluster; [None]
-    otherwise. *)
-val replication_of_metadata : (string * string) list -> (int * int) option
+(** The recorded replication-cluster shape when the audited run served
+    reads from a cluster; [None] otherwise. A package without a recorded
+    checkpoint interval gets the default one. *)
+val replication_of_metadata :
+  (string * string) list -> Audit.cluster_shape option
 
 (** The recorded read routes: (qid, replica that answered), sorted by
     qid. Leader-answered reads are not recorded. *)
 val routes_of_metadata : (string * string) list -> (int * int) list
 
 (** [replication_of_metadata] applied to the package's own metadata. *)
-val replication : t -> (int * int) option
+val replication : t -> Audit.cluster_shape option
 
 (** [routes_of_metadata] applied to the package's own metadata. *)
 val routes : t -> (int * int) list

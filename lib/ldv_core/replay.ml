@@ -45,10 +45,18 @@ let prepare (pkg : Package.t) : prepared =
       match pkg.Package.kind with
       | Package.Server_included ->
         (* create accessed tables, then restore the relevant subset from CSV,
-           tuple by tuple (the expensive initialization of Fig. 7b) *)
-        List.iter
-          (fun (_, ddl) -> ignore (Database.exec db ddl))
-          pkg.Package.db_schemas;
+           tuple by tuple (the expensive initialization of Fig. 7b); a
+           table's DDL is its CREATE TABLE line, then its index lines *)
+        let index_ddl =
+          List.concat_map
+            (fun (_, ddl) ->
+              match String.split_on_char '\n' ddl with
+              | create :: indexes ->
+                ignore (Database.exec db create);
+                indexes
+              | [] -> [])
+            pkg.Package.db_schemas
+        in
         List.iter
           (fun (table, csv) ->
             (* a table can be absent when its schema section was dropped
@@ -63,6 +71,19 @@ let prepare (pkg : Package.t) : prepared =
                   Database.sync_clock db ~at:version)
                 (Csv.decode_versions csv))
           pkg.Package.db_subset;
+        (* indexes last: one backfill each instead of maintenance per
+           restored tuple. Registered through the catalog, as a checkpoint
+           restore does, so the DB clock does not tick *)
+        List.iter
+          (fun ddl ->
+            match Sql_parser.parse ddl with
+            | Sql_ast.Create_index { index; table; column; ordered } ->
+              if Catalog.find_opt (Database.catalog db) table <> None then
+                Catalog.create_index ~ordered (Database.catalog db) ~index
+                  ~table ~column
+            | _ ->
+              Errors.unsupported "replay: not an index definition: %s" ddl)
+          index_ddl;
         (* pin the cost model to the audit-time row counts: the restored
            database holds only the sliced subset, and replay re-plans, so
            order-sensitive plan decisions must see the recorded statistics *)
@@ -97,14 +118,16 @@ let prepare (pkg : Package.t) : prepared =
      equally-shaped cluster, bootstrapped from the restored DB state, so
      every read routes to — and is answered by — the same node *)
   (match (pkg.Package.kind, Package.replication pkg) with
-  | Package.Server_included, Some (replicas, staleness) ->
+  | Package.Server_included, Some shape ->
     Ldv_obs.with_span "replay.restore_cluster" @@ fun () ->
     let proc = Minios.Kernel.start_process kernel ~name:"minidb-leader" () in
     let leader =
       Dbclient.Durable.start kernel server ~pid:proc.Minios.Kernel.pid
     in
     I.attach_cluster session
-      (Dbclient.Replication.create kernel ~leader ~replicas ~staleness ())
+      (Dbclient.Replication.create kernel ~leader
+         ~replicas:shape.Audit.replicas ~staleness:shape.Audit.staleness
+         ~ckpt_every:shape.Audit.ckpt_every ())
   | _ -> ());
   { pkg; kernel; server; session }
 

@@ -124,7 +124,9 @@ let accessed_tables (audit : Audit.t) (tids : Tid.Set.t) : string list =
   @ tables_of_tids tids
   |> List.sort_uniq String.compare
 
-(** DDL for recreating the given tables at replay time. *)
+(** DDL for recreating the given tables at replay time: per table its
+    CREATE TABLE line, then one line per hash or ordered index, so replay
+    plans the access paths the audit planned. *)
 let schema_ddl_for (db : Database.t) (tables : string list) :
     (string * string) list =
   List.filter_map
@@ -139,7 +141,17 @@ let schema_ddl_for (db : Database.t) (tables : string list) :
                    (Value.type_name c.Schema.ty))
           |> String.concat ", "
         in
-        Some (table, Printf.sprintf "CREATE TABLE %s (%s)" table cols))
+        let indexes =
+          List.map
+            (fun (index, column, ordered) ->
+              Pretty.statement_to_string
+                (Sql_ast.Create_index { index; table; column; ordered }))
+            (Table.index_specs tbl)
+        in
+        Some
+          ( table,
+            String.concat "\n"
+              (Printf.sprintf "CREATE TABLE %s (%s)" table cols :: indexes) ))
     tables
 
 (** DDL for the tables contributing tuples to [tids]. *)

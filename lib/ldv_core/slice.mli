@@ -31,11 +31,11 @@ val tables_of_tids : Tid.Set.t -> string list
     in the package, even when none of their tuples survives slicing. *)
 val accessed_tables : Audit.t -> Tid.Set.t -> string list
 
-(** CREATE TABLE statements for the given tables. *)
+(** DDL for the given tables: per table a CREATE TABLE line followed by
+    one CREATE [ORDERED] INDEX line per index. *)
 val schema_ddl_for : Database.t -> string list -> (string * string) list
 
-(** CREATE TABLE statements for the tables contributing tuples to the
-    set. *)
+(** [schema_ddl_for] the tables contributing tuples to the set. *)
 val schema_ddl : Database.t -> Tid.Set.t -> (string * string) list
 
 (** Total bytes of an already-materialized subset; callers that also ship

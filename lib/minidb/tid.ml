@@ -23,8 +23,11 @@ let compare a b =
 let equal a b = compare a b = 0
 let hash = Hashtbl.hash
 
-let pp ppf t = Format.fprintf ppf "%s:%d@@%d" t.table t.rid t.version
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  String.concat ""
+    [ t.table; ":"; string_of_int t.rid; "@"; string_of_int t.version ]
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (** Parse the [pp] rendering back; used by trace (de)serialization. *)
 let of_string s =

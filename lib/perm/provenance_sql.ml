@@ -25,13 +25,15 @@ type provenance_result = {
   read_tables : string list;  (** base tables the query scanned *)
 }
 
-(** Execute [SELECT ...] and return rows with their lineage.
+(** Execute an already-parsed [SELECT ...] and return rows with their
+    lineage.
 
     This is the moral equivalent of prefixing the query with Perm's
     [PROVENANCE] keyword: it costs a provenance-computing execution, which
     is what the paper's server-included audit pays on every query. *)
-let query_lineage (db : Database.t) (sql : string) : provenance_result =
-  match Sql_parser.parse sql with
+let query_lineage_ast (db : Database.t) (ast : Sql_ast.statement) :
+    provenance_result =
+  match ast with
   | Sql_ast.Select s | Sql_ast.Provenance s ->
     ignore (Database.tick db);
     let plan = Planner.plan_select (Database.catalog db) s in
@@ -47,6 +49,10 @@ let query_lineage (db : Database.t) (sql : string) : provenance_result =
           result.Executor.rows;
       read_tables = Planner.base_tables plan }
   | _ -> Errors.unsupported "query_lineage expects a SELECT statement"
+
+(** [query_lineage_ast] on SQL text. *)
+let query_lineage (db : Database.t) (sql : string) : provenance_result =
+  query_lineage_ast db (Sql_parser.parse sql)
 
 (** Union of all rows' lineage: every tuple version the query actually
     used. *)

@@ -17,8 +17,13 @@ type provenance_result = {
   read_tables : string list;  (** base tables the query scanned *)
 }
 
-(** Execute a SELECT (or [PROVENANCE SELECT]) with lineage collection.
+(** Execute a parsed SELECT (or [PROVENANCE SELECT]) with lineage
+    collection; for callers that already hold the statement's AST.
     @raise Errors.Db_error on non-SELECT statements. *)
+val query_lineage_ast : Database.t -> Sql_ast.statement -> provenance_result
+
+(** [query_lineage_ast] after parsing the SQL text.
+    @raise Errors.Db_error on parse errors and non-SELECT statements. *)
 val query_lineage : Database.t -> string -> provenance_result
 
 (** Union of all rows' lineage. *)

@@ -41,9 +41,11 @@ let add_statement trace ~qid ~kind ~sql =
     ~attrs:[ ("qid", string_of_int qid); ("sql", sql) ]
     ()
 
+(** Returns the tuple node's handle; the id and label share one
+    rendering of the tuple id. *)
 let add_tuple trace (tid : Minidb.Tid.t) =
-  Trace.add_node trace ~id:(tuple_id tid) ~node_type:tuple_type
-    ~label:(Minidb.Tid.to_string tid)
+  let label = Minidb.Tid.to_string tid in
+  Trace.add_node trace ~id:("tuple:" ^ label) ~node_type:tuple_type ~label
     ~attrs:
       [ ("table", tid.Minidb.Tid.table);
         ("rid", string_of_int tid.Minidb.Tid.rid);

@@ -10,7 +10,15 @@
     same model (Definitions 7 and 8 are instances): for the Lineage model
     these are registered explicitly from the DB's lineage facts; for the
     blackbox model they are implied by process paths and need not be
-    stored. *)
+    stored.
+
+    Representation: every node is interned once to a dense integer
+    [handle]. Nodes, their type indexes and their in/out adjacency live in
+    handle-indexed growable arrays; edges live in one insertion-ordered
+    growable array and adjacency lists hold edge indices; direct
+    dependencies are keyed by handle pairs. The only string-keyed table is
+    the [id -> handle] map behind the string-id API, so a builder that
+    keeps handles never re-renders or re-hashes a node id per edge. *)
 
 type node = {
   id : string;
@@ -22,109 +30,200 @@ type node = {
 
 type edge = { elabel : string; src : string; dst : string; time : Interval.t }
 
+type handle = int
+
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   model : Model.t;
-  nodes : (string, node) Hashtbl.t;
-  mutable edges : edge list;  (** newest first *)
-  out_adj : (string, edge list ref) Hashtbl.t;
-  in_adj : (string, edge list ref) Hashtbl.t;
-  (* (later entity id, earlier entity id) direct dependencies, keyed by the
-     later entity, with a pair-level seen-set for O(1) dedup *)
-  direct_deps : (string, string list ref) Hashtbl.t;
-  dep_seen : (string * string, unit) Hashtbl.t;
+  type_index : (string, int) Hashtbl.t;
+      (** node type -> dense index, activities first *)
+  n_types : int;
+  n_activities : int;
+  admissible : (string, bool array) Hashtbl.t;
+      (** edge label -> admissibility by [src type * n types + dst type],
+          built once from the model's edge types *)
+  ids : (string, handle) Hashtbl.t;
+  mutable nodes : node array;
+  mutable node_ty : int array;
+  mutable out_adj : int list array;  (** edge indices, newest first *)
+  mutable in_adj : int list array;
+  mutable deps : handle list array;  (** earlier entities, newest first *)
+  mutable n_nodes : int;
+  mutable edges : edge array;
   mutable n_edges : int;
+  mutable dep_log : int array;  (** (later, earlier) pairs, insertion order *)
+  mutable n_deps : int;
+  dep_seen : unit Int_tbl.t;  (** [later lsl 31 lor earlier] *)
 }
 
-let create model =
+let no_node =
+  { id = ""; node_type = ""; kind = Model.Entity; label = ""; attrs = [] }
+
+let no_edge = { elabel = ""; src = ""; dst = ""; time = Interval.point 0 }
+
+let create (model : Model.t) =
+  let types = model.Model.activities @ model.Model.entities in
+  let n_types = List.length types in
+  let type_index = Hashtbl.create 16 in
+  List.iteri (fun i ty -> Hashtbl.replace type_index ty i) types;
+  let admissible = Hashtbl.create 16 in
+  List.iter
+    (fun (et : Model.edge_type) ->
+      if not (Hashtbl.mem admissible et.Model.label) then
+        Hashtbl.replace admissible et.Model.label
+          (Array.make (n_types * n_types) false);
+      match
+        ( Hashtbl.find_opt type_index et.Model.src_type,
+          Hashtbl.find_opt type_index et.Model.dst_type )
+      with
+      | Some s, Some d ->
+        (Hashtbl.find admissible et.Model.label).((s * n_types) + d) <- true
+      | _ -> ())
+    model.Model.edge_types;
   { model;
-    nodes = Hashtbl.create 256;
-    edges = [];
-    out_adj = Hashtbl.create 256;
-    in_adj = Hashtbl.create 256;
-    direct_deps = Hashtbl.create 64;
-    dep_seen = Hashtbl.create 64;
-    n_edges = 0 }
+    type_index;
+    n_types;
+    n_activities = List.length model.Model.activities;
+    admissible;
+    ids = Hashtbl.create 256;
+    nodes = [||];
+    node_ty = [||];
+    out_adj = [||];
+    in_adj = [||];
+    deps = [||];
+    n_nodes = 0;
+    edges = [||];
+    n_edges = 0;
+    dep_log = [||];
+    n_deps = 0;
+    dep_seen = Int_tbl.create 64 }
 
 let model t = t.model
 
-let find_node t id = Hashtbl.find_opt t.nodes id
+(* [a] with room for index [n], doubling; new slots hold [fill] *)
+let grown a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 64 (2 * n)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
 
-let node_exn t id =
-  match find_node t id with
-  | Some n -> n
+let handle t id = Hashtbl.find_opt t.ids id
+
+let handle_exn t id =
+  match handle t id with
+  | Some h -> h
   | None -> invalid_arg (Printf.sprintf "Trace: unknown node %S" id)
 
-let mem_node t id = Hashtbl.mem t.nodes id
+let check_handle t what h =
+  if h < 0 || h >= t.n_nodes then
+    invalid_arg (Printf.sprintf "Trace.%s: unknown node handle %d" what h)
+
+let find_node t id = Option.map (fun h -> t.nodes.(h)) (handle t id)
+let node_exn t id = t.nodes.(handle_exn t id)
+let mem_node t id = Hashtbl.mem t.ids id
 
 let add_node t ?(label = "") ?(attrs = []) ~id ~node_type () =
-  match Model.kind_of t.model node_type with
+  match Hashtbl.find_opt t.type_index node_type with
   | None ->
     invalid_arg
       (Printf.sprintf "Trace.add_node: type %S not in model %s" node_type
          t.model.Model.name)
-  | Some kind ->
-    (match Hashtbl.find_opt t.nodes id with
-    | Some existing ->
-      if not (String.equal existing.node_type node_type) then
+  | Some ty -> (
+    match Hashtbl.find_opt t.ids id with
+    | Some h ->
+      if t.node_ty.(h) <> ty then
         invalid_arg
           (Printf.sprintf "Trace.add_node: node %S re-added with type %S" id
              node_type);
-      existing
+      h
     | None ->
+      let h = t.n_nodes in
+      t.nodes <- grown t.nodes h no_node;
+      t.node_ty <- grown t.node_ty h 0;
+      t.out_adj <- grown t.out_adj h [];
+      t.in_adj <- grown t.in_adj h [];
+      t.deps <- grown t.deps h [];
       let label = if label = "" then id else label in
-      let n = { id; node_type; kind; label; attrs } in
-      Hashtbl.replace t.nodes id n;
-      n)
+      let kind = if ty < t.n_activities then Model.Activity else Model.Entity in
+      t.nodes.(h) <- { id; node_type; kind; label; attrs };
+      t.node_ty.(h) <- ty;
+      Hashtbl.add t.ids id h;
+      t.n_nodes <- h + 1;
+      h)
 
-let add_edge t ~label ~src ~dst ~time =
-  let s = node_exn t src and d = node_exn t dst in
-  if not (Model.edge_allowed t.model ~label ~src:s.node_type ~dst:d.node_type)
-  then
+let add_edge_h t ~label ~src ~dst ~time =
+  check_handle t "add_edge" src;
+  check_handle t "add_edge" dst;
+  let allowed =
+    match Hashtbl.find_opt t.admissible label with
+    | Some m -> m.((t.node_ty.(src) * t.n_types) + t.node_ty.(dst))
+    | None -> false
+  in
+  let s = t.nodes.(src) and d = t.nodes.(dst) in
+  if not allowed then
     invalid_arg
       (Printf.sprintf
          "Trace.add_edge: edge %S from type %S to type %S not allowed" label
          s.node_type d.node_type);
-  let e = { elabel = label; src; dst; time } in
-  t.edges <- e :: t.edges;
-  t.n_edges <- t.n_edges + 1;
-  let push tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := e :: !r
-    | None -> Hashtbl.replace tbl key (ref [ e ])
-  in
-  push t.out_adj src;
-  push t.in_adj dst;
-  e
+  let i = t.n_edges in
+  t.edges <- grown t.edges i no_edge;
+  t.edges.(i) <- { elabel = label; src = s.id; dst = d.id; time };
+  t.n_edges <- i + 1;
+  t.out_adj.(src) <- i :: t.out_adj.(src);
+  t.in_adj.(dst) <- i :: t.in_adj.(dst)
+
+let add_edge t ~label ~src ~dst ~time =
+  add_edge_h t ~label ~src:(handle_exn t src) ~dst:(handle_exn t dst) ~time
 
 (** Register a direct data dependency: entity [later] depends on entity
     [earlier] (both must be entities of the same sub-model). *)
-let add_dependency t ~later ~earlier =
-  (match (find_node t later, find_node t earlier) with
-  | Some a, Some b ->
-    if a.kind <> Model.Entity || b.kind <> Model.Entity then
-      invalid_arg "Trace.add_dependency: both nodes must be entities"
-  | _ -> invalid_arg "Trace.add_dependency: unknown node");
-  if not (Hashtbl.mem t.dep_seen (later, earlier)) then begin
-    Hashtbl.replace t.dep_seen (later, earlier) ();
-    match Hashtbl.find_opt t.direct_deps later with
-    | Some r -> r := earlier :: !r
-    | None -> Hashtbl.replace t.direct_deps later (ref [ earlier ])
+let add_dependency_h t ~later ~earlier =
+  check_handle t "add_dependency" later;
+  check_handle t "add_dependency" earlier;
+  if
+    t.nodes.(later).kind <> Model.Entity
+    || t.nodes.(earlier).kind <> Model.Entity
+  then invalid_arg "Trace.add_dependency: both nodes must be entities";
+  let key = (later lsl 31) lor earlier in
+  if not (Int_tbl.mem t.dep_seen key) then begin
+    Int_tbl.add t.dep_seen key ();
+    t.deps.(later) <- earlier :: t.deps.(later);
+    let i = 2 * t.n_deps in
+    t.dep_log <- grown t.dep_log (i + 1) 0;
+    t.dep_log.(i) <- later;
+    t.dep_log.(i + 1) <- earlier;
+    t.n_deps <- t.n_deps + 1
   end
 
+let add_dependency t ~later ~earlier =
+  match (handle t later, handle t earlier) with
+  | Some later, Some earlier -> add_dependency_h t ~later ~earlier
+  | _ -> invalid_arg "Trace.add_dependency: unknown node"
+
 let direct_deps_of t id =
-  match Hashtbl.find_opt t.direct_deps id with Some r -> !r | None -> []
+  match handle t id with
+  | Some h -> List.map (fun e -> t.nodes.(e).id) t.deps.(h)
+  | None -> []
 
-let has_direct_dep t ~later ~earlier = Hashtbl.mem t.dep_seen (later, earlier)
+let has_direct_dep t ~later ~earlier =
+  match (handle t later, handle t earlier) with
+  | Some l, Some e -> Int_tbl.mem t.dep_seen ((l lsl 31) lor e)
+  | _ -> false
 
-let in_edges t id =
-  match Hashtbl.find_opt t.in_adj id with Some r -> !r | None -> []
+let edges_at t adj id =
+  match handle t id with
+  | Some h -> List.map (fun i -> t.edges.(i)) adj.(h)
+  | None -> []
 
-let out_edges t id =
-  match Hashtbl.find_opt t.out_adj id with Some r -> !r | None -> []
+let in_edges t id = edges_at t t.in_adj id
+let out_edges t id = edges_at t t.out_adj id
 
-let nodes t = Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes []
-let edges t = List.rev t.edges
-let node_count t = Hashtbl.length t.nodes
+let nodes t = Array.to_list (Array.sub t.nodes 0 t.n_nodes)
+let edges t = Array.to_list (Array.sub t.edges 0 t.n_edges)
+let node_count t = t.n_nodes
 let edge_count t = t.n_edges
 
 let entities t = List.filter (fun n -> n.kind = Model.Entity) (nodes t)
@@ -142,59 +241,76 @@ let state t id ~at =
    line. Sufficient for embedding traces in packages.                  *)
 
 let escape s =
-  String.concat "\\t" (String.split_on_char '\t' s)
-  |> String.split_on_char '\n'
-  |> String.concat "\\n"
+  if not (String.contains s '\t' || String.contains s '\n') then s
+  else
+    String.concat "\\t" (String.split_on_char '\t' s)
+    |> String.split_on_char '\n'
+    |> String.concat "\\n"
 
 let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let i = ref 0 in
-  let n = String.length s in
-  while !i < n do
-    if s.[!i] = '\\' && !i + 1 < n then begin
-      (match s.[!i + 1] with
-      | 't' -> Buffer.add_char buf '\t'
-      | 'n' -> Buffer.add_char buf '\n'
-      | c ->
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf c);
-      i := !i + 2
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
+  if not (String.contains s '\\') then s
+  else begin
+    let buf = Buffer.create (String.length s) in
+    let i = ref 0 in
+    let n = String.length s in
+    while !i < n do
+      if s.[!i] = '\\' && !i + 1 < n then begin
+        (match s.[!i + 1] with
+        | 't' -> Buffer.add_char buf '\t'
+        | 'n' -> Buffer.add_char buf '\n'
+        | c ->
+          Buffer.add_char buf '\\';
+          Buffer.add_char buf c);
+        i := !i + 2
+      end
+      else begin
+        Buffer.add_char buf s.[!i];
+        incr i
+      end
+    done;
+    Buffer.contents buf
+  end
 
+(** Nodes sorted by id, then edges and dependencies in insertion order:
+    the same trace always serializes to the same bytes. *)
 let serialize t : string =
   let buf = Buffer.create 4096 in
-  List.iter
+  let field s =
+    Buffer.add_char buf '\t';
+    Buffer.add_string buf (escape s)
+  in
+  let sorted = Array.sub t.nodes 0 t.n_nodes in
+  Array.sort (fun a b -> String.compare a.id b.id) sorted;
+  Array.iter
     (fun n ->
-      Buffer.add_string buf
-        (Printf.sprintf "N\t%s\t%s\t%s" (escape n.id) (escape n.node_type)
-           (escape n.label));
+      Buffer.add_char buf 'N';
+      field n.id;
+      field n.node_type;
+      field n.label;
       List.iter
         (fun (k, v) ->
-          Buffer.add_string buf (Printf.sprintf "\t%s=%s" (escape k) (escape v)))
+          field k;
+          Buffer.add_char buf '=';
+          Buffer.add_string buf (escape v))
         n.attrs;
       Buffer.add_char buf '\n')
-    (nodes t |> List.sort (fun a b -> String.compare a.id b.id));
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "E\t%s\t%s\t%s\t%d\t%d\n" (escape e.elabel)
-           (escape e.src) (escape e.dst) (Interval.b e.time)
-           (Interval.e e.time)))
-    (edges t);
-  Hashtbl.iter
-    (fun later r ->
-      List.iter
-        (fun earlier ->
-          Buffer.add_string buf
-            (Printf.sprintf "D\t%s\t%s\n" (escape later) (escape earlier)))
-        !r)
-    t.direct_deps;
+    sorted;
+  for i = 0 to t.n_edges - 1 do
+    let e = t.edges.(i) in
+    Buffer.add_char buf 'E';
+    field e.elabel;
+    field e.src;
+    field e.dst;
+    field (string_of_int (Interval.b e.time));
+    field (string_of_int (Interval.e e.time));
+    Buffer.add_char buf '\n'
+  done;
+  for i = 0 to t.n_deps - 1 do
+    Buffer.add_char buf 'D';
+    field t.nodes.(t.dep_log.(2 * i)).id;
+    field t.nodes.(t.dep_log.((2 * i) + 1)).id;
+    Buffer.add_char buf '\n'
+  done;
   Buffer.contents buf
 
 let deserialize (model : Model.t) (data : string) : t =
@@ -222,10 +338,9 @@ let deserialize (model : Model.t) (data : string) : t =
                (add_node t ~label:(unescape label) ~attrs ~id:(unescape id)
                   ~node_type:(unescape node_type) ())
            | [ "E"; label; src; dst; b; e ] ->
-             ignore
-               (add_edge t ~label:(unescape label) ~src:(unescape src)
-                  ~dst:(unescape dst)
-                  ~time:(Interval.make (int_of_string b) (int_of_string e)))
+             add_edge t ~label:(unescape label) ~src:(unescape src)
+               ~dst:(unescape dst)
+               ~time:(Interval.make (int_of_string b) (int_of_string e))
            | [ "D"; later; earlier ] ->
              add_dependency t ~later:(unescape later)
                ~earlier:(unescape earlier)

@@ -130,8 +130,67 @@ let test_roundtripped_package_replays () =
   Alcotest.(check (list string)) "no divergences after roundtrip" []
     (Replay.verify ~audit result)
 
+(* A server-included package carries each table's hash and ordered
+   indexes, so replay plans the audit's access paths instead of full
+   scans; a package without index lines still replays. *)
+let test_included_replay_keeps_indexes () =
+  let kernel = Minios.Kernel.create () in
+  let db = Minidb.Database.create ~name:"idx" () in
+  let server = Dbclient.Server.install kernel db in
+  List.iter
+    (fun sql -> ignore (Minidb.Database.exec db sql))
+    ([ "CREATE TABLE acct (id INT, bal INT)";
+       "CREATE INDEX acct_id ON acct (id)";
+       "CREATE ORDERED INDEX acct_bal ON acct (bal)" ]
+    @ List.init 200 (fun i ->
+          Printf.sprintf "INSERT INTO acct VALUES (%d, %d)" i (i * 7 mod 200)));
+  let point = "SELECT bal FROM acct WHERE id = 42" in
+  let program env =
+    let conn = Dbclient.Client.connect env ~db:"idx" in
+    let bal = Dbclient.Client.query conn point in
+    let high = Dbclient.Client.query conn "SELECT id FROM acct WHERE bal > 190" in
+    Dbclient.Client.close conn;
+    Minios.Program.write_file env "/out/idx.txt"
+      (Printf.sprintf "%d %d\n" (List.length bal) (List.length high))
+  in
+  Minios.Program.register ~name:"idx-app" program;
+  Minios.Vfs.write_opaque (Minios.Kernel.vfs kernel) ~path:"/app/bin/idx" 1000;
+  let audit =
+    Audit.run ~packaging:Audit.Included kernel server ~app_name:"idx-app"
+      ~app_binary:"/app/bin/idx" program
+  in
+  let pkg = Package.of_bytes (Package.to_bytes (Package.build audit)) in
+  Alcotest.(check (list string)) "schema carries the index lines"
+    [ "CREATE TABLE acct (id INT, bal INT)";
+      "CREATE INDEX acct_id ON acct (id)";
+      "CREATE ORDERED INDEX acct_bal ON acct (bal)" ]
+    (String.split_on_char '\n' (List.assoc "acct" pkg.Package.db_schemas));
+  let prepared = Replay.prepare pkg in
+  let result = Replay.run prepared in
+  Alcotest.(check (list string)) "replay verified" []
+    (Replay.verify ~audit result);
+  let rdb = Dbclient.Server.db prepared.Replay.server in
+  let plan sql =
+    match (Minidb.Database.query rdb ("EXPLAIN " ^ sql)).Minidb.Executor.rows with
+    | [ { Minidb.Executor.values = [| Minidb.Value.Str p |]; _ } ] -> p
+    | _ -> Alcotest.fail "EXPLAIN returned no plan row"
+  in
+  Alcotest.(check bool) "point query is an index scan" true
+    (Fixtures.contains_substring ~needle:"indexscan(acct.acct_id)" (plan point));
+  let without_indexes =
+    { pkg with
+      Package.db_schemas =
+        List.map
+          (fun (t, ddl) -> (t, List.hd (String.split_on_char '\n' ddl)))
+          pkg.Package.db_schemas }
+  in
+  Alcotest.(check (list string)) "index-less package still replays" []
+    (Replay.verify ~audit (Replay.execute without_indexes))
+
 let suite =
   [ Alcotest.test_case "included replay verifies" `Quick test_included_replay_verifies;
+    Alcotest.test_case "included replay keeps indexes" `Quick
+      test_included_replay_keeps_indexes;
     Alcotest.test_case "excluded replay verifies" `Quick test_excluded_replay_verifies;
     Alcotest.test_case "ptu replay verifies" `Quick test_ptu_replay_verifies;
     Alcotest.test_case "excluded replay touches no DB" `Quick

@@ -266,7 +266,11 @@ let test_cluster_audit_records_routes () =
       ~replicas:2 ()
   in
   Alcotest.(check bool) "audit records the cluster shape" true
-    (audit.Audit.repl = Some (2, 4));
+    (audit.Audit.repl
+     = Some
+         { Audit.replicas = 2;
+           staleness = 4;
+           ckpt_every = Dbclient.Replication.default_ckpt_every });
   let replica_reads =
     List.filter
       (fun (s : Dbclient.Interceptor.stmt_event) ->
@@ -276,8 +280,8 @@ let test_cluster_audit_records_routes () =
   Alcotest.(check bool) "some reads were replica-served" true
     (List.length replica_reads > 0);
   let pkg = Package.build audit in
-  Alcotest.(check (option (pair int int))) "cluster shape in metadata"
-    (Some (2, 4)) (Package.replication pkg);
+  Alcotest.(check bool) "cluster shape in metadata" true
+    (Package.replication pkg = audit.Audit.repl);
   Alcotest.(check int) "every replica-served read has a route"
     (List.length replica_reads)
     (List.length (Package.routes pkg))
@@ -291,13 +295,27 @@ let test_cluster_audit_replays_byte_identically () =
   Alcotest.(check (list string)) "replay verified, routes included" []
     (Replay.verify ~audit r)
 
+(* The replicas' checkpoint writes advance the kernel clock, so a replay
+   must rebuild the cluster with the audited checkpoint interval, not the
+   default one. *)
+let test_cluster_audit_replays_ckpt_interval () =
+  let audit =
+    Concurrent.audited ~sessions:3 ~statements:8 ~seed:11 ~replicas:2
+      ~ckpt_every:3 ()
+  in
+  let pkg = Package.of_bytes (Package.to_bytes (Package.build audit)) in
+  Alcotest.(check (option int)) "interval in metadata" (Some 3)
+    (Option.map (fun s -> s.Audit.ckpt_every) (Package.replication pkg));
+  Alcotest.(check (list string)) "replay verified" []
+    (Replay.verify ~audit (Replay.execute pkg))
+
 let test_plain_audit_has_no_cluster_metadata () =
   let audit = Concurrent.audited ~sessions:2 ~statements:4 ~seed:3 () in
   Alcotest.(check bool) "no cluster recorded" true
     (audit.Audit.repl = None);
   let pkg = Package.build audit in
-  Alcotest.(check (option (pair int int))) "no replication metadata" None
-    (Package.replication pkg);
+  Alcotest.(check bool) "no replication metadata" true
+    (Package.replication pkg = None);
   Alcotest.(check int) "no routes" 0 (List.length (Package.routes pkg))
 
 let suite =
@@ -322,5 +340,7 @@ let suite =
       test_cluster_audit_records_routes;
     Alcotest.test_case "cluster audit replays byte-identically" `Quick
       test_cluster_audit_replays_byte_identically;
+    Alcotest.test_case "cluster audit replays its checkpoint interval" `Quick
+      test_cluster_audit_replays_ckpt_interval;
     Alcotest.test_case "plain audit has no cluster metadata" `Quick
       test_plain_audit_has_no_cluster_metadata ]

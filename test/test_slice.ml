@@ -78,11 +78,16 @@ let test_schema_ddl_covers_tables () =
   let ddl = Slice.schema_ddl db relevant in
   Alcotest.(check (list string)) "one DDL per accessed table" tables
     (List.map fst ddl);
-  (* the DDL parses *)
+  (* the DDL parses: a CREATE TABLE line, then one line per index *)
   List.iter
-    (fun (_, sql) ->
-      match Sql_parser.parse sql with
-      | Sql_ast.Create_table _ -> ()
+    (fun (_, ddl) ->
+      match List.map Sql_parser.parse (String.split_on_char '\n' ddl) with
+      | Sql_ast.Create_table _ :: indexes ->
+        List.iter
+          (function
+            | Sql_ast.Create_index _ -> ()
+            | _ -> Alcotest.fail "expected CREATE INDEX")
+          indexes
       | _ -> Alcotest.fail "expected CREATE TABLE")
     ddl
 
