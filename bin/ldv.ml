@@ -237,13 +237,15 @@ let audit_cmd =
 (* exec                                                                *)
 
 (** Read a package file, tolerating corrupt content sections (each is
-    reported on stderr and skipped). Structural corruption is fatal:
-    print the typed diagnostic and exit 3. *)
+    reported on stderr and skipped). An unreadable file or structural
+    corruption is fatal: print the diagnostic and exit 3. *)
 let read_package path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
+  let data =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg ->
+      Printf.eprintf "ldv: cannot read package: %s\n%!" msg;
+      exit 3
+  in
   match Package.of_bytes_result data with
   | Ok { Package.r_pkg; r_skipped } ->
     List.iter
@@ -257,6 +259,10 @@ let read_package path =
     Printf.eprintf "ldv: %s is not a usable package: %s\n%!" path
       (Ldv_errors.to_string e);
     exit 3
+
+let package_exits =
+  Cmd.Exit.info 3 ~doc:"the package file is unreadable or not a package."
+  :: Cmd.Exit.defaults
 
 let exec_cmd =
   let run obs path =
@@ -284,7 +290,10 @@ let exec_cmd =
       result.Replay.out_files
   in
   let term = Term.(const run $ obs_arg $ package_arg) in
-  Cmd.v (Cmd.info "exec" ~doc:"Re-execute a repeatability package") term
+  Cmd.v
+    (Cmd.info "exec" ~exits:package_exits
+       ~doc:"Re-execute a repeatability package")
+    term
 
 (* ------------------------------------------------------------------ *)
 (* inspect                                                             *)
@@ -329,7 +338,8 @@ let inspect_cmd =
     Term.(const run $ obs_arg $ package_arg $ dot_arg $ prov_arg $ provn_arg)
   in
   Cmd.v
-    (Cmd.info "inspect" ~doc:"Show a package's manifest and execution trace")
+    (Cmd.info "inspect" ~exits:package_exits
+       ~doc:"Show a package's manifest and execution trace")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -364,7 +374,7 @@ let trace_cmd =
     Term.(const run $ obs_arg $ package_arg $ target_arg $ outputs_arg)
   in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info "trace" ~exits:package_exits
        ~doc:"Run provenance queries over a package's execution trace")
     term
 
@@ -847,9 +857,18 @@ let sql_cmd =
       | None -> In_channel.input_all In_channel.stdin
     in
     let db = Minidb.Database.create ~name:"sql" () in
+    let rejected e =
+      Printf.eprintf "ldv: sql: %s\n%!" (Minidb.Errors.to_string e);
+      exit 2
+    in
+    let stmts =
+      try Minidb.Sql_parser.parse_script script
+      with Minidb.Errors.Db_error e -> rejected e
+    in
     List.iter
       (fun stmt ->
         match Minidb.Database.exec_ast db stmt with
+        | exception Minidb.Errors.Db_error e -> rejected e
         | Minidb.Database.Rows r ->
           Printf.printf "%s\n"
             (String.concat " | "
@@ -866,11 +885,15 @@ let sql_cmd =
         | Minidb.Database.Affected info ->
           Printf.printf "affected %d\n" info.Minidb.Database.count
         | Minidb.Database.Ddl_done -> Printf.printf "ok\n")
-      (Minidb.Sql_parser.parse_script script)
+      stmts
   in
   let term = Term.(const run $ obs_arg $ script_arg) in
   Cmd.v
     (Cmd.info "sql"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:"a statement failed to parse or was rejected by the engine."
+         :: Cmd.Exit.defaults)
        ~doc:
          "Run ad-hoc SQL (including EXPLAIN) against a fresh in-memory \
           minidb instance")

@@ -7,8 +7,8 @@
 # critical path must render) and diffed against itself with a tight
 # budget (the gate must pass on identical runs).
 #
-# --quick skips the harness/profiler smokes and the benchmark self-test
-# (build + tests + the replicacheck/txcheck smokes + the overhead-ledger
+# --quick skips the harness/profiler smokes, the paper's shape checks and
+# the benchmark self-test (build + tests + the replicacheck/txcheck smokes + the overhead-ledger
 # gate self-check).
 set -e
 cd "$(dirname "$0")"
@@ -123,6 +123,10 @@ if [ "$quick" -eq 0 ]; then
   dune exec bin/ldv.exe -- timeline "$tmpdir/cc.jsonl" > /dev/null
   dune exec bin/ldv.exe -- contention "$tmpdir/cc.jsonl" > /dev/null
   dune exec bin/ldv.exe -- stats "$tmpdir/cc.jsonl" --by-session > /dev/null
+
+  # the paper's shape claims (Figures 7-9, Tables I-III); exits non-zero
+  # when any claim fails
+  dune exec bench/main.exe -- check
 
   # benchmark self-test: a well-formed manifest, and the same seed gives
   # the same trace edges, package sizes and lineage counts on every

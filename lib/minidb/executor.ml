@@ -1,10 +1,10 @@
 (** Plan evaluation with provenance-annotation propagation.
 
-    Every row flowing through the executor carries a provenance polynomial
+    Every row flowing through the executor carries a provenance annotation
     (see {!Annotation}): base tuples start as variables, joins multiply,
-    aggregation groups and duplicate elimination add. The Lineage of a
-    result row — the tuple versions the paper's slicing needs — is the
-    variable set of its annotation. *)
+    aggregation groups and duplicate elimination add, each as one circuit
+    gate. The Lineage of a result row — the tuple versions the paper's
+    slicing needs — is the variable set of its annotation. *)
 
 type arow = { values : Value.t array; ann : Annotation.t }
 

@@ -57,7 +57,7 @@ type state = {
 
 let st =
   { sink = Null;
-    clock = Unix.gettimeofday;
+    clock = Ledger.monotonic_clock;
     next_id = 1;
     stack = [];
     ring = Queue.create ();

@@ -94,7 +94,11 @@ let is_audit_phase p = List.mem p audit_phases
 let enabled = ref false
 let set_enabled b = enabled := b
 
-let clock : (unit -> float) ref = ref Unix.gettimeofday
+(** Seconds on the system's monotonic clock: wall-clock steps do not
+    move it, and only differences between readings are meaningful. *)
+let monotonic_clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let clock : (unit -> float) ref = ref monotonic_clock
 let set_clock f = clock := f
 
 (* Where finished per-statement phase totals go: the collector's

@@ -16,24 +16,28 @@ type reenactment = {
       (** affected rows and their lineage before the modification ran *)
 }
 
-(** Build the reenactment SELECT for an UPDATE or DELETE statement. *)
-let reenactment_query (stmt : Sql_ast.statement) : string =
+(* The reenactment SELECT for an UPDATE or DELETE statement, as AST. *)
+let reenactment_select (stmt : Sql_ast.statement) : Sql_ast.statement =
   match stmt with
   | Sql_ast.Update { table; where; _ } | Sql_ast.Delete { table; where } ->
-    let sel =
-      Sql_ast.simple_select ?where
-        ~from:[ Sql_ast.from_table table ]
-        [ Sql_ast.Star ]
-    in
-    Pretty.statement_to_string (Sql_ast.Select sel)
+    Sql_ast.Select
+      (Sql_ast.simple_select ?where
+         ~from:[ Sql_ast.from_table table ]
+         [ Sql_ast.Star ])
   | Sql_ast.Insert _ ->
     Errors.unsupported "inserts read no pre-state; no reenactment needed"
   | _ -> Errors.unsupported "reenactment applies to UPDATE and DELETE only"
 
-(** Capture the pre-state of a modification by reenacting it as a query. *)
+(** Build the reenactment SELECT for an UPDATE or DELETE statement. *)
+let reenactment_query (stmt : Sql_ast.statement) : string =
+  Pretty.statement_to_string (reenactment_select stmt)
+
+(** Capture the pre-state of a modification by reenacting it as a query;
+    the query runs from its AST, so it is never re-parsed. *)
 let capture (db : Database.t) (stmt : Sql_ast.statement) : reenactment =
-  let reenact_sql = reenactment_query stmt in
-  { reenact_sql; pre_state = Provenance_sql.query_lineage db reenact_sql }
+  let select = reenactment_select stmt in
+  { reenact_sql = Pretty.statement_to_string select;
+    pre_state = Provenance_sql.query_lineage_ast db select }
 
 (** Reenact-then-execute: capture provenance, run the modification, and
     return both. The returned [dml_info] is the DB's own account of what

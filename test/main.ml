@@ -49,4 +49,5 @@ let () =
       ("contention", Test_contention.suite);
       ("replication", Test_replication.suite);
       ("ledger", Test_ledger.suite);
+      ("cli", Test_cli.suite);
       ("end-to-end", Test_e2e.suite) ]

@@ -139,8 +139,107 @@ let semiring_laws =
     prop "sum = iterated add" 100 (QCheck.list_of_size (QCheck.Gen.int_bound 8) arb_poly)
       (fun ps -> equal (sum ps) (List.fold_left add zero ps)) ]
 
+(* ------------------------------------------------------------------ *)
+(* Property tests: the circuit agrees with the normal-form oracle.     *)
+
+(* A random annotation term, built both as a circuit and as the
+   normal-form polynomial the circuit must expand to. *)
+type term =
+  | Zero
+  | One
+  | Var of Tid.t
+  | Int of int
+  | Add of term * term
+  | Mul of term * term
+  | Sum of term list
+
+let rec circuit = function
+  | Zero -> Annotation.zero
+  | One -> Annotation.one
+  | Var v -> Annotation.var v
+  | Int n -> Annotation.of_int n
+  | Add (p, q) -> Annotation.add (circuit p) (circuit q)
+  | Mul (p, q) -> Annotation.mul (circuit p) (circuit q)
+  | Sum ps -> Annotation.sum (List.map circuit ps)
+
+let rec oracle = function
+  | Zero -> Annotation.Poly.zero
+  | One -> Annotation.Poly.one
+  | Var v -> Annotation.Poly.var v
+  | Int n -> Annotation.Poly.of_int n
+  | Add (p, q) -> Annotation.Poly.add (oracle p) (oracle q)
+  | Mul (p, q) -> Annotation.Poly.mul (oracle p) (oracle q)
+  | Sum ps -> Annotation.Poly.sum (List.map oracle ps)
+
+let term_gen =
+  QCheck.Gen.(
+    let base =
+      oneof
+        [ return Zero; return One; map (fun v -> Var v) tid_gen;
+          map (fun n -> Int n) (int_range 0 3) ]
+    in
+    let rec go n =
+      if n = 0 then base
+      else
+        frequency
+          [ (2, base);
+            (2, map2 (fun p q -> Add (p, q)) (go (n - 1)) (go (n - 1)));
+            (2, map2 (fun p q -> Mul (p, q)) (go (n - 1)) (go (n - 1)));
+            (1, map (fun ps -> Sum ps) (list_size (int_bound 4) (go (n - 1)))) ]
+    in
+    go 3)
+
+let arb_term =
+  QCheck.make ~print:(fun t -> Annotation.Poly.to_string (oracle t)) term_gen
+
+let semiring_images t =
+  let open Annotation in
+  let cost (v : Tid.t) = Some (Char.code v.Tid.table.[0] + v.Tid.rid) in
+  let member (v : Tid.t) = v.Tid.rid <> 2 in
+  let singleton v = Lineage_semiring.Set (Tid.Set.singleton v) in
+  let c = circuit t and o = oracle t in
+  eval (module Nat_semiring) (fun v -> v.Tid.rid) c
+  = Poly.eval (module Nat_semiring) (fun v -> v.Tid.rid) o
+  && eval (module Bool_semiring) member c
+     = Poly.eval (module Bool_semiring) member o
+  && Tropical_semiring.equal
+       (eval (module Tropical_semiring) cost c)
+       (Poly.eval (module Tropical_semiring) cost o)
+  && Lineage_semiring.equal
+       (eval (module Lineage_semiring) singleton c)
+       (Poly.eval (module Lineage_semiring) singleton o)
+
+let circuit_vs_oracle =
+  let open Annotation in
+  [ prop "circuit lineage = oracle lineage" 300 arb_term (fun t ->
+        Tid.Set.equal (lineage (circuit t)) (Poly.lineage (oracle t)));
+    prop "circuit why = oracle why" 300 arb_term (fun t ->
+        List.equal Tid.Set.equal (why (circuit t)) (Poly.why (oracle t)));
+    prop "circuit derivation count = oracle" 300 arb_term (fun t ->
+        derivation_count (circuit t) = Poly.derivation_count (oracle t));
+    prop "circuit equal = oracle equal" 300 (QCheck.pair arb_term arb_term)
+      (fun (t, u) ->
+        equal (circuit t) (circuit u) = Poly.equal (oracle t) (oracle u)
+        && equal (circuit t) (circuit t)
+        && equal (circuit t) zero = Poly.equal (oracle t) Poly.zero
+        && equal (circuit t) one = Poly.equal (oracle t) Poly.one
+        && is_zero (circuit t) = Poly.equal (oracle t) Poly.zero);
+    prop "circuit eval = oracle eval (Nat, Bool, Tropical, Lineage)" 300
+      arb_term semiring_images ]
+
+let test_cancelling_circuit () =
+  let open Annotation in
+  (* with a negative constant the circuit's support over-approximates:
+     the structural readings must fall back to the normal form *)
+  let p = add (var a) (mul (of_int (-1)) (var a)) in
+  Alcotest.(check bool) "is_zero" true (is_zero p);
+  Alcotest.(check bool) "equal one" false (equal p one);
+  Alcotest.(check int) "no lineage" 0 (Tid.Set.cardinal (lineage p));
+  Alcotest.(check int) "no derivations" 0 (derivation_count p)
+
 let suite =
   [ Alcotest.test_case "normal form" `Quick test_normal_form;
+    Alcotest.test_case "cancelling circuit" `Quick test_cancelling_circuit;
     Alcotest.test_case "sum matches folded add" `Quick test_sum_matches_folded_add;
     Alcotest.test_case "lineage" `Quick test_lineage;
     Alcotest.test_case "why provenance" `Quick test_why;
@@ -148,4 +247,4 @@ let suite =
     Alcotest.test_case "eval homomorphism" `Quick test_eval_homomorphism;
     Alcotest.test_case "tropical semiring" `Quick test_tropical;
     Alcotest.test_case "lineage semiring" `Quick test_lineage_semiring_agrees ]
-  @ List.map QCheck_alcotest.to_alcotest semiring_laws
+  @ List.map QCheck_alcotest.to_alcotest (semiring_laws @ circuit_vs_oracle)

@@ -18,7 +18,7 @@ let with_memory f =
   Fun.protect
     ~finally:(fun () ->
       Obs.set_sink Obs.Null;
-      Obs.set_clock Unix.gettimeofday;
+      Obs.set_clock Obs.Ledger.monotonic_clock;
       Obs.reset ();
       Obs.set_ring_capacity 65536)
     f
@@ -158,7 +158,7 @@ let test_byte_stable () =
   Fun.protect
     ~finally:(fun () ->
       Obs.set_sink Obs.Null;
-      Obs.set_clock Unix.gettimeofday;
+      Obs.set_clock Obs.Ledger.monotonic_clock;
       Obs.reset ())
     (fun () ->
       let a = collect () in
@@ -183,7 +183,7 @@ let test_streaming_incremental () =
       Obs.set_sink Obs.Null;
       if not !closed then close_out_noerr oc;
       Sys.remove path;
-      Obs.set_clock Unix.gettimeofday;
+      Obs.set_clock Obs.Ledger.monotonic_clock;
       Obs.reset ())
   @@ fun () ->
   (* a gauge provider reads the trace file's own size each round: the

@@ -19,7 +19,7 @@ let with_memory f =
   Fun.protect
     ~finally:(fun () ->
       Obs.set_sink Obs.Null;
-      Obs.set_clock Unix.gettimeofday;
+      Obs.set_clock Obs.Ledger.monotonic_clock;
       Obs.reset ();
       Obs.set_ring_capacity 65536)
     f

@@ -82,6 +82,23 @@ let test_reenact_execute_update () =
   Fixtures.check_rows "update applied" [ "1|5"; "2|12"; "3|15" ]
     (Database.query db "SELECT id, price FROM sales")
 
+let test_reenact_capture_matches_text () =
+  let db = Fixtures.sales_db () in
+  let stmt = Sql_parser.parse "DELETE FROM sales WHERE price > 10 OR id = 1" in
+  let r = Perm.Reenact.capture db stmt in
+  Alcotest.(check string) "capture keeps the reenactment text"
+    (Perm.Reenact.reenactment_query stmt) r.Perm.Reenact.reenact_sql;
+  (* the AST the capture runs and the parsed text agree *)
+  let parsed = Perm.Provenance_sql.query_lineage db r.Perm.Reenact.reenact_sql in
+  let pre = r.Perm.Reenact.pre_state in
+  Alcotest.(check int) "same rows"
+    (List.length parsed.Perm.Provenance_sql.rows)
+    (List.length pre.Perm.Provenance_sql.rows);
+  Alcotest.(check bool) "same lineage" true
+    (Tid.Set.equal
+       (Perm.Provenance_sql.total_lineage parsed)
+       (Perm.Provenance_sql.total_lineage pre))
+
 let test_reenact_insert_has_no_prestate () =
   let db = Fixtures.sales_db () in
   let stmt = Sql_parser.parse "INSERT INTO sales VALUES (9, 9)" in
@@ -120,13 +137,43 @@ let test_versioning_lookup () =
     | None -> Alcotest.fail "version should resolve")
   | None -> Alcotest.fail "live version should exist"
 
+(* Lineage cardinality and summed per-row derivations of every Table II
+   variant at sf 0.002, seed 3 — pinned from the eagerly expanded
+   polynomials, so any change to annotation propagation shows here. *)
+let table2_pins =
+  [ ("Q1-1", 595, 595); ("Q1-2", 595, 595); ("Q1-3", 595, 595);
+    ("Q1-4", 1197, 1197); ("Q1-5", 2949, 2949); ("Q2-1", 4967, 3902);
+    ("Q2-2", 525, 415); ("Q2-3", 58, 46); ("Q2-4", 58, 46);
+    ("Q3-1", 4967, 3902); ("Q3-2", 525, 415); ("Q3-3", 58, 46);
+    ("Q3-4", 58, 46); ("Q4-1", 1135, 595); ("Q4-2", 1135, 595);
+    ("Q4-3", 1135, 595); ("Q4-4", 2177, 1197); ("Q4-5", 4798, 2949) ]
+
+let test_table2_lineage_pinned () =
+  let db, c = Tpch.Dbgen.setup ~sf:0.002 ~seed:3 () in
+  let got =
+    List.map
+      (fun (v : Tpch.Queries.variant) ->
+        let r = Perm.Provenance_sql.query_lineage db v.Tpch.Queries.sql in
+        ( v.Tpch.Queries.vid,
+          Tid.Set.cardinal (Perm.Provenance_sql.total_lineage r),
+          List.fold_left
+            (fun acc row ->
+              acc + Lazy.force row.Perm.Provenance_sql.derivations)
+            0 r.Perm.Provenance_sql.rows ))
+      (Tpch.Queries.variants c)
+  in
+  Alcotest.(check (list (triple string int int)))
+    "Table II lineage / derivations" table2_pins got
+
 let suite =
   [ Alcotest.test_case "query lineage" `Quick test_query_lineage_matches_executor;
+    Alcotest.test_case "table II lineage pinned" `Quick test_table2_lineage_pinned;
     Alcotest.test_case "witnesses and derivations" `Quick test_witnesses_and_derivations;
     Alcotest.test_case "perm-style expansion" `Quick test_expand_perm_style;
     Alcotest.test_case "lineage bytes" `Quick test_lineage_bytes;
     Alcotest.test_case "reenactment query" `Quick test_reenactment_query_text;
     Alcotest.test_case "reenact update" `Quick test_reenact_execute_update;
+    Alcotest.test_case "reenact capture from AST" `Quick test_reenact_capture_matches_text;
     Alcotest.test_case "insert has no pre-state" `Quick test_reenact_insert_has_no_prestate;
     Alcotest.test_case "versioning usage" `Quick test_versioning_usage;
     Alcotest.test_case "versioning lookup" `Quick test_versioning_lookup ]
